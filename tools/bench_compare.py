@@ -20,16 +20,25 @@ current value may not exceed the baseline by more than --rss-tolerance
 missing the key — e.g. a baseline produced before the field existed —
 skips the gate instead of failing.
 
---run-and-compare spawns BINARY with `--quick --json <tmp>` first, then
-compares the fresh report against BASELINE.json.  This powers the
-`bench-compare` ctest: the committed baseline was produced on a different
-machine, so that gate passes a generous --tolerance and is a smoke check
-for order-of-magnitude regressions, not a 10% gate.  --run-args replaces
-the default `--quick` when the committed baseline was recorded at a
-different scale (the load-curve gate passes `--full` so current and
-baseline measure the same population).
+Both reports must carry the same top-level `jobs` (a key missing from
+one report only counts as a different value).  Sharded binaries build one World
+replica per shard, so peak RSS and throughput grow with --jobs even
+though the output bytes do not; a mismatched pair is refused with exit 2
+rather than compared.
 
-Exit codes: 0 ok, 1 regression/missing metric, 2 usage or I/O error.
+--run-and-compare spawns BINARY with `--quick --jobs J --json <tmp>`
+first, where J is BASELINE.json's `jobs`, then compares the fresh report
+against BASELINE.json.  This powers the `bench-compare` ctest: the
+committed baseline was produced on a different machine, so that gate
+passes a generous --tolerance and is a smoke check for order-of-magnitude
+regressions, not a 10% gate.  --run-args replaces the default `--quick`
+when the committed baseline was recorded at a different scale (the
+load-curve gate passes `--full` so current and baseline measure the same
+population); the baseline's `--jobs` is appended after it for the same
+reason, whatever the host's core count or DNSTTL_JOBS.
+
+Exit codes: 0 ok, 1 regression/missing metric, 2 usage or I/O error
+or a `jobs` mismatch.
 """
 
 from __future__ import annotations
@@ -79,6 +88,11 @@ def compare_rss(baseline: dict, current: dict, rss_tolerance: float) -> int:
 
 def compare(baseline: dict, current: dict, tolerance: float,
             rss_tolerance: float = 0.25) -> int:
+    if baseline.get("jobs") != current.get("jobs"):
+        print(f"bench_compare: jobs mismatch: baseline jobs="
+              f"{baseline.get('jobs', 'missing')}, current jobs="
+              f"{current.get('jobs', 'missing')}; refusing to compare")
+        return 2
     base = metric_map(baseline)
     cur = metric_map(current)
     failures = 0
@@ -120,7 +134,8 @@ def main() -> int:
                              "lacks peak_rss_bytes")
     parser.add_argument("--run-and-compare", action="store_true",
                         help="first arg is a bench binary to run with "
-                             "--quick --json before comparing")
+                             "--quick --json and the baseline's --jobs "
+                             "before comparing")
     parser.add_argument("--run-args", default="--quick",
                         help="flags for the --run-and-compare binary "
                              "(default \"--quick\")")
@@ -130,16 +145,19 @@ def main() -> int:
 
     if args.run_and_compare:
         binary, baseline_path = args.paths
+        baseline = load_report(baseline_path)
+        command = [binary] + shlex.split(args.run_args)
+        if "jobs" in baseline:
+            command += ["--jobs", str(baseline["jobs"])]
         with tempfile.TemporaryDirectory() as tmp:
             fresh = os.path.join(tmp, "bench.json")
-            result = subprocess.run(
-                [binary] + shlex.split(args.run_args) + ["--json", fresh],
-                stdout=subprocess.DEVNULL)
+            result = subprocess.run(command + ["--json", fresh],
+                                    stdout=subprocess.DEVNULL)
             if result.returncode != 0:
                 print(f"bench_compare: {binary} exited "
                       f"{result.returncode}")
                 return 2
-            return compare(load_report(baseline_path), load_report(fresh),
+            return compare(baseline, load_report(fresh),
                            args.tolerance, args.rss_tolerance)
 
     baseline_path, current_path = args.paths
