@@ -49,10 +49,18 @@ TEST_P(WireAdversarialTest, RejectedWithWireError) {
   EXPECT_THROW(decode(test_case.input), WireError) << test_case.label;
 }
 
+// The empty message is checked on its own, outside the Malformed table:
+// gtest prints a MalformedCase as its raw bytes, the first eight of which are
+// the label's address, so a table entry's discovered ctest name carries
+// ASLR-random hex.  With the shortest label, that hex reached the part of the
+// name that tools listing tests show, and the name changed on every build.
+TEST(WireAdversarial, EmptyInputRejectedWithWireError) {
+  EXPECT_THROW(decode(Bytes{}), WireError) << "empty input";
+}
+
 std::vector<MalformedCase> malformed_cases() {
   std::vector<MalformedCase> cases;
 
-  cases.push_back({"empty input", {}});
   cases.push_back({"truncated header", wire({0x12, 0x34, 0x01})});
   cases.push_back({"header promises question, none present", header(1)});
 
