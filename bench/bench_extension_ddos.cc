@@ -46,7 +46,7 @@ Cell run_cell(std::uint64_t seed, dns::Ttl ttl,
     sim::Rng rng(seed + ttl.value());
     for (int i = 0; i < kResolvers; ++i) {
       auto r = std::make_unique<resolver::RecursiveResolver>(
-          "r" + std::to_string(i), config, world.network(), world.hints());
+          std::string("r").append(std::to_string(i)), config, world.network(), world.hints());
       net::Location eu{net::Region::kEU, 1.0};
       r->set_node_ref(net::NodeRef{world.network().attach(*r, eu), eu});
       resolvers.push_back(std::move(r));

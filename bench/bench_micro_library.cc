@@ -192,7 +192,9 @@ void BM_DnssecSignZone(benchmark::State& state) {
                            dns::Name::from_string("ns1.bench.example"), 1));
     for (int i = 0; i < 100; ++i) {
       zone.add(dns::make_a(
-          dns::Name::from_string("h" + std::to_string(i) + ".bench.example"),
+          dns::Name::from_string(std::string("h")
+                                     .append(std::to_string(i))
+                                     .append(".bench.example")),
           dns::Ttl{300}, dns::Ipv4(static_cast<std::uint32_t>(i))));
     }
     state.ResumeTiming();

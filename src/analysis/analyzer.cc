@@ -41,14 +41,16 @@ FileResult analyze_one(const std::string& rel, const std::string& source) {
   const std::string rel_slashes = slashes(rel);
   out.findings = run_rules(index, rel_slashes, &out.suppressed);
   out.summary = summarize_file(index, rel_slashes);
+  collect_unit_arith(index, rel_slashes, out.summary);
   return out;
 }
 
-/// The stale-suppression audit: every allow comment naming a registered
-/// rule must have a finding of that rule (visible or silenced — silenced
-/// is the normal case) on one of its covered lines; otherwise the allow
-/// is dead weight and gets its own finding.  Runs after phase 2 so an
-/// allow justified by an interprocedural finding counts as used.
+/// The stale-suppression audit: every allow comment must say why, and
+/// must name a rule of this analyzer that has a finding (visible or
+/// silenced — silenced is the normal case) on one of its covered lines;
+/// otherwise the allow is a typo or dead weight and gets its own finding.
+/// Runs after phase 2 so an allow justified by a phase-2 finding counts as
+/// used.
 void audit_suppressions(const std::vector<FileSummary>& summaries,
                         const Findings& all_would_fire, Findings& out) {
   std::set<std::string> registered;
@@ -63,11 +65,17 @@ void audit_suppressions(const std::vector<FileSummary>& summaries,
 
   for (const FileSummary& file : summaries) {
     for (const AllowSite& site : file.allow_sites) {
-      if (registered.count(site.rule) == 0) continue;  // lint.py-owned etc.
+      if (!site.justified) {
+        out.push_back({"stale-suppression", file.path, site.comment_line,
+                       "allow(" + site.rule + ") gives no reason; say why "
+                       "after the closing parenthesis",
+                       "allow(" + site.rule + ")"});
+      }
+      const bool known = registered.count(site.rule) != 0;
       bool used = false;
       for (std::size_t line : site.covered_lines) {
-        if (fired.count(file.path + "\x1f" + site.rule + "\x1f" +
-                        std::to_string(line)) != 0) {
+        if (known && fired.count(file.path + "\x1f" + site.rule + "\x1f" +
+                                 std::to_string(line)) != 0) {
           used = true;
           break;
         }
@@ -84,9 +92,10 @@ void audit_suppressions(const std::vector<FileSummary>& summaries,
       }
       out.push_back(
           {"stale-suppression", file.path, site.comment_line,
-           "suppression names '" + site.rule + "' but that rule no longer "
-           "fires on the covered line; delete the dead allow comment (or "
-           "fix the rule name)",
+           "suppression names '" + site.rule + "' but " +
+               (known ? "that rule no longer fires on the covered line"
+                      : "no rule of this analyzer has that name") +
+               "; delete the dead allow comment (or fix the rule name)",
            "allow(" + site.rule + ")"});
     }
   }
@@ -133,9 +142,11 @@ Findings analyze_sources(const std::vector<SourceFile>& sources,
     summaries.push_back(r->summary);
   }
 
-  // Phase 2: whole-repo call graph + interprocedural dataflow (serial; the
-  // graph needs every summary).
+  // Phase 2: whole-repo call graph + interprocedural dataflow, then
+  // unit-arith against the repo-wide field table (serial; both need every
+  // summary).
   DataflowResult ip = run_dataflow(summaries);
+  resolve_unit_arith(summaries, ip.findings, ip.suppressed);
   visible.insert(visible.end(), ip.findings.begin(), ip.findings.end());
   would_fire.insert(would_fire.end(), ip.findings.begin(),
                     ip.findings.end());

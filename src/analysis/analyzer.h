@@ -18,7 +18,8 @@ using SourceFile = std::pair<std::string, std::string>;
 /// Phase 1 (per file, independent — this is what --jobs shards over the
 /// par:: pool): lex + index + intraprocedural rules + call-summary
 /// extraction.  Phase 2 (whole-repo, serial): link the summaries into a
-/// call graph, run the interprocedural dataflow rules, then audit every
+/// call graph, run the interprocedural dataflow rules and unit-arith
+/// (whose field table spans every header), then audit every
 /// `lint:allow`/`analyze:allow` comment against the complete finding set
 /// (stale-suppression).  Findings come back in deterministic order.
 Findings analyze_sources(const std::vector<SourceFile>& sources,

@@ -112,18 +112,18 @@ bool raw_int_type_text(const std::string& type_text) {
   return any && has_int;
 }
 
-bool unit_type_text(const std::string& type_text) {
-  bool hit = false;
+std::string unit_of_type_text(const std::string& type_text) {
+  const char* unit = "";
   std::string prev;
   for_each_word(type_text, [&](const std::string& word) {
-    if (word == "Duration" || word == "SimTime" || word == "Ttl" ||
-        word == "WireTtl") {
-      hit = true;
+    if (word == "Duration" || word == "SimTime" ||
+        (word == "Time" && prev == "::")) {
+      unit = "us";
     }
-    if (word == "Time" && prev == "::") hit = true;
+    if (word == "Ttl" || word == "WireTtl") unit = "s";
     prev = word;
   });
-  return hit;
+  return unit;
 }
 
 bool draw_site_at(const FileIndex& ix, std::size_t i, std::string* head,
@@ -372,7 +372,7 @@ struct Extractor {
       facts.unordered =
           p.type_text.find("unordered_") != std::string::npos;
       facts.raw_int = raw_int_type_text(p.type_text);
-      facts.unit = unit_type_text(p.type_text);
+      facts.unit = !unit_of_type_text(p.type_text).empty();
       out.push_back(std::move(facts));
     }
     return out;

@@ -43,7 +43,8 @@ std::vector<std::size_t> top_level_positions(const FileIndex& ix,
 /// Type-text classifiers (word-wise over the joined declarator tokens).
 bool pool_type_text(const std::string& type_text);
 bool raw_int_type_text(const std::string& type_text);
-bool unit_type_text(const std::string& type_text);
+/// "us" for Duration/SimTime/sim::Time, "s" for Ttl/WireTtl, else "".
+std::string unit_of_type_text(const std::string& type_text);
 
 /// A draw site: `<chain> .|-> <draw-name> (` where the postfix chain
 /// mentions an RNG (by name, or by declared type via `rng_typed`).

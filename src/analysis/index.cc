@@ -442,17 +442,32 @@ std::vector<Param> FileIndex::parse_params(std::size_t open) const {
 }
 
 void FileIndex::build_suppressions(const TokenList& all) {
+  // Returns whether the comment says why: text after an allow's `)`.
   auto harvest = [](const std::string& text, std::set<std::string>& rules) {
+    bool justified = false;
     for (const char* prefix : {"lint:allow(", "analyze:allow("}) {
       std::size_t at = 0;
       while ((at = text.find(prefix, at)) != std::string::npos) {
         std::size_t open = at + std::string(prefix).size();
         std::size_t close = text.find(')', open);
         if (close == std::string::npos) break;
-        rules.insert(text.substr(open, close - open));
+        // `allow(a, b)` names several rules.
+        std::size_t begin = open;
+        while (begin < close) {
+          std::size_t end = std::min(text.find(',', begin), close);
+          std::size_t first = text.find_first_not_of(' ', begin);
+          std::size_t last = text.find_last_not_of(' ', end - 1);
+          if (first < end && last >= first) {
+            rules.insert(text.substr(first, last - first + 1));
+          }
+          begin = end + 1;
+        }
+        justified |=
+            text.find_first_not_of(" \t*/", close + 1) != std::string::npos;
         at = close;
       }
     }
+    return justified;
   };
 
   std::size_t last_code_line = 0;
@@ -463,7 +478,7 @@ void FileIndex::build_suppressions(const TokenList& all) {
       continue;
     }
     std::set<std::string> rules;
-    harvest(t.text, rules);
+    const bool justified = harvest(t.text, rules);
     if (rules.empty()) continue;
     allow_[t.line].insert(rules.begin(), rules.end());
     std::vector<std::size_t> covered = {t.line};
@@ -477,7 +492,7 @@ void FileIndex::build_suppressions(const TokenList& all) {
       }
     }
     for (const std::string& rule : rules) {
-      allow_sites_.push_back({t.line, rule, covered});
+      allow_sites_.push_back({t.line, rule, covered, justified});
     }
   }
 }

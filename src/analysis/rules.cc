@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cctype>
+#include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "analysis/callgraph.h"
@@ -55,6 +58,31 @@ bool path_has_component(const std::string& rel, const char* component) {
   std::string needle = std::string("/") + component + "/";
   std::string padded = "/" + rel;
   return padded.find(needle) != std::string::npos;
+}
+
+bool header_path(const std::string& rel) {
+  return rel.size() >= 2 && rel.compare(rel.size() - 2, 2, ".h") == 0;
+}
+
+/// name -> unit for every unit-typed declaration and function/lambda
+/// parameter in the file.
+std::map<std::string, std::string> unit_names(const FileIndex& ix) {
+  std::map<std::string, std::string> names = ix.unit_typed();
+  for (const Scope& s : ix.scopes()) {
+    if (s.params_open == kNpos) continue;
+    for (const Param& p : ix.parse_params(s.params_open)) {
+      const std::string unit = unit_of_type_text(p.type_text);
+      if (!p.name.empty() && !unit.empty()) names[p.name] = unit;
+    }
+  }
+  return names;
+}
+
+/// Records `name`'s unit, or "" once two declarations disagree.
+void merge_unit(std::map<std::string, std::string>& table,
+                const std::string& name, const std::string& unit) {
+  auto [it, fresh] = table.emplace(name, unit);
+  if (!fresh && it->second != unit) it->second.clear();
 }
 
 // ------------------------------------------------------- rng-raw-source
@@ -260,7 +288,7 @@ bool time_ish_name(const std::string& name) {
 
 void rule_raw_time_param(const FileIndex& ix, const std::string& rel,
                          const Sink& sink) {
-  if (rel.size() < 2 || rel.compare(rel.size() - 2, 2, ".h") != 0) return;
+  if (!header_path(rel)) return;
   const TokenList& code = ix.code();
   for (size_t i = 1; i < code.size(); ++i) {
     if (!code[i].punct("(")) continue;
@@ -309,20 +337,7 @@ void rule_unit_float_cast(const FileIndex& ix, const std::string& rel,
       "count",      "value",           "ticks",
       "to_seconds", "to_milliseconds", "approx_seconds",
       "approx_milliseconds", "approx_scale"};
-  // Unit-typed names: local/namespace declarations plus every unit-typed
-  // function/lambda parameter in the file.
-  std::set<std::string> unit_names;
-  for (const auto& [name, unit] : ix.unit_typed()) {
-    unit_names.insert(name);
-  }
-  for (const Scope& s : ix.scopes()) {
-    if (s.params_open == kNpos) continue;
-    for (const Param& p : ix.parse_params(s.params_open)) {
-      if (!p.name.empty() && unit_type_text(p.type_text)) {
-        unit_names.insert(p.name);
-      }
-    }
-  }
+  const std::map<std::string, std::string> units = unit_names(ix);
   const TokenList& code = ix.code();
   for (size_t i = 0; i + 3 < code.size(); ++i) {
     if (!code[i].ident("static_cast") || !code[i + 1].punct("<")) continue;
@@ -353,7 +368,7 @@ void rule_unit_float_cast(const FileIndex& ix, const std::string& rel,
       const Token& t = code[j];
       if (t.kind != TokenKind::kIdentifier) continue;
       if (kEscapes.count(t.text) != 0) has_escape = true;
-      if (unit_names.count(t.text) != 0) {
+      if (units.count(t.text) != 0) {
         has_unit = true;
         unit_name = t.text;
       }
@@ -525,7 +540,323 @@ void rule_task_state_escape(const FileIndex& ix, const Sink& sink) {
   }
 }
 
+// --------------------------------------------------------- pointer-print
+
+/// A printf `%p` conversion inside a string literal's text: flags, width
+/// and precision may sit between `%` and `p`, `%%` is a literal percent,
+/// and the `p` must end the word ("50%pct" is prose, not a conversion).
+bool has_pointer_conversion(const std::string& text) {
+  const auto word = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+  };
+  for (size_t i = 0; i < text.size(); ++i) {
+    if (text[i] != '%') continue;
+    size_t k = i + 1;
+    if (k < text.size() && text[k] == '%') {
+      i = k;
+      continue;
+    }
+    while (k < text.size() &&
+           std::string_view("-+#0123456789.*").find(text[k]) !=
+               std::string_view::npos) {
+      ++k;
+    }
+    if (k < text.size() && text[k] == 'p' &&
+        (k + 1 == text.size() || !word(text[k + 1]))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void rule_pointer_print(const FileIndex& ix, const Sink& sink) {
+  const TokenList& code = ix.code();
+  for (size_t i = 0; i < code.size(); ++i) {
+    if (code[i].kind != TokenKind::kString) continue;
+    if (!has_pointer_conversion(code[i].text)) continue;
+    sink.add("pointer-print", code[i].line,
+             "printf pointer conversion: the address it prints changes "
+             "on every run under ASLR, and output must be byte-identical "
+             "per seed — print an id or index instead",
+             make_excerpt(ix, i, i + 1));
+  }
+}
+
+// --------------------------------------------------------------- raw-new
+
+void rule_raw_new(const FileIndex& ix, const Sink& sink) {
+  const TokenList& code = ix.code();
+  for (size_t i = 0; i + 1 < code.size(); ++i) {
+    const bool after_operator = i > 0 && code[i - 1].ident("operator");
+    if (code[i].ident("new")) {
+      // `new (buf) T` is placement new into storage something else owns.
+      if (after_operator || code[i + 1].punct("(")) continue;
+    } else if (code[i].ident("delete")) {
+      // `= delete` removes a function; it frees nothing.
+      if (after_operator || (i > 0 && code[i - 1].punct("="))) continue;
+    } else {
+      continue;
+    }
+    sink.add("raw-new", code[i].line,
+             "raw `" + code[i].text + "`: ownership goes through containers "
+             "and smart pointers (placement new is allowed)",
+             make_excerpt(ix, i, i + 3));
+  }
+}
+
+// ----------------------------------------------------------- std-map-hot
+
+void rule_std_map_hot(const FileIndex& ix, const std::string& rel,
+                      const Sink& sink) {
+  if (rel.rfind("src/cache/", 0) != 0 && rel.rfind("src/sim/", 0) != 0) {
+    return;
+  }
+  const TokenList& code = ix.code();
+  for (size_t i = 0; i + 3 < code.size(); ++i) {
+    if (!code[i].ident("std") || !code[i + 1].punct("::") ||
+        !(code[i + 2].ident("map") || code[i + 2].ident("multimap")) ||
+        !code[i + 3].punct("<")) {
+      continue;
+    }
+    sink.add("std-map-hot", code[i].line,
+             "`std::" + code[i + 2].text + "` in a hot path: src/cache and "
+             "src/sim use the open-addressing table and the slab by design",
+             make_excerpt(ix, i, i + 4));
+  }
+}
+
+// --------------------------------------------------- nodiscard-validator
+
+bool in_check_namespace(const FileIndex& ix, size_t i) {
+  for (const Scope& s : ix.scopes()) {
+    if (s.kind != ScopeKind::kNamespace || s.open >= i ||
+        (s.close != kNpos && s.close < i)) {
+      continue;
+    }
+    const std::string padded = "::" + s.name + "::";
+    if (padded.find("::check::") != std::string::npos) return true;
+  }
+  return false;
+}
+
+void rule_nodiscard_validator(const FileIndex& ix, const Sink& sink) {
+  const TokenList& code = ix.code();
+  for (size_t i = 1; i + 1 < code.size(); ++i) {
+    const Token& name = code[i];
+    if (name.kind != TokenKind::kIdentifier || !code[i + 1].punct("(")) {
+      continue;
+    }
+    if (name.text.rfind("validate", 0) != 0 &&
+        name.text.rfind("check_", 0) != 0) {
+      continue;
+    }
+    // A declaration names its return type right before the name; a call
+    // follows an operator, `(`, `.`, `return`, ...
+    const Token& prev = code[i - 1];
+    const bool declarator =
+        prev.punct(">") || prev.punct("*") || prev.punct("&") ||
+        (prev.kind == TokenKind::kIdentifier && !prev.ident("return"));
+    if (!declarator || prev.ident("void")) continue;
+    const ScopeKind scope = ix.scope_kind_at(i);
+    if (scope != ScopeKind::kNamespace && scope != ScopeKind::kClass) {
+      continue;
+    }
+    if (!in_check_namespace(ix, i)) continue;
+    bool nodiscard = false;
+    for (size_t j = i; j-- > 0;) {
+      const Token& t = code[j];
+      if (t.punct(";") || t.punct("{") || t.punct("}")) break;
+      nodiscard |= t.ident("nodiscard");
+    }
+    if (nodiscard) continue;
+    sink.add("nodiscard-validator", name.line,
+             "check:: validator `" + name.text + "` returns a result but "
+             "lacks [[nodiscard]]; a dropped result silently disables the "
+             "audit",
+             make_excerpt(ix, i - 1, i + 2));
+  }
+}
+
+// ------------------------------------------------------------ unit-arith
+
+bool raw_escape(const Token& t) {
+  return t.ident("count") || t.ident("ticks") || t.ident("value") ||
+         t.ident("raw");
+}
+
+bool tighter_than_additive(const Token& t) {
+  return t.punct("*") || t.punct("/") || t.punct("%");
+}
+
+/// The raw-escape receiver of the operand [b, e): `recv.escape()` at the
+/// end of a postfix chain, optionally wrapped in `( )` or
+/// `static_cast<T>( )`.  kNpos when the operand is anything else.
+size_t escape_receiver(const FileIndex& ix, size_t b, size_t e) {
+  const TokenList& code = ix.code();
+  if (e <= b + 2) return kNpos;
+  if (code[b].punct("(") && ix.match(b) == e - 1) {
+    return escape_receiver(ix, b + 1, e - 1);
+  }
+  if (code[b].ident("static_cast") && code[b + 1].punct("<")) {
+    size_t k = b + 2;
+    for (int depth = 1; k < e && depth > 0; ++k) {
+      if (code[k].punct("<")) ++depth;
+      if (code[k].punct(">")) --depth;
+    }
+    if (k < e && code[k].punct("(") && ix.match(k) == e - 1) {
+      return escape_receiver(ix, k + 1, e - 1);
+    }
+    return kNpos;
+  }
+  if (e < b + 5 || !code[e - 1].punct(")") || !code[e - 2].punct("(") ||
+      !raw_escape(code[e - 3]) || !is_member_access(code[e - 4]) ||
+      code[e - 5].kind != TokenKind::kIdentifier) {
+    return kNpos;
+  }
+  return e - 5;
+}
+
+/// First token of the postfix expression that ends right before `k`.
+size_t operand_begin(const FileIndex& ix, size_t k) {
+  const TokenList& code = ix.code();
+  size_t j = k;
+  while (j > 0) {
+    const Token& t = code[j - 1];
+    if (t.punct(")") || t.punct("]")) {
+      const size_t m = ix.match(j - 1);
+      if (m == kNpos) break;
+      j = m;
+    } else if (t.punct(">") && j >= 3) {
+      // Only the `>` closing `static_cast<...>` belongs to the operand.
+      size_t open = j - 1;
+      while (open > 0 && !code[open].punct("<") && !code[open].punct(";")) {
+        --open;
+      }
+      if (open == 0 || !code[open].punct("<") ||
+          !code[open - 1].ident("static_cast")) {
+        break;
+      }
+      j = open - 1;
+    } else if ((t.kind == TokenKind::kIdentifier && !t.ident("return") &&
+                !t.ident("throw") && !t.ident("case")) ||
+               is_member_access(t) || t.punct("::")) {
+      --j;
+    } else {
+      break;
+    }
+  }
+  return j;
+}
+
+/// One past the last token of the postfix expression starting at `k`.
+size_t operand_end(const FileIndex& ix, size_t k) {
+  const TokenList& code = ix.code();
+  size_t j = k;
+  while (j < code.size()) {
+    const Token& t = code[j];
+    if (t.ident("static_cast") && j + 1 < code.size() &&
+        code[j + 1].punct("<")) {
+      j += 2;
+      for (int depth = 1; j < code.size() && depth > 0; ++j) {
+        if (code[j].punct("<")) ++depth;
+        if (code[j].punct(">")) --depth;
+      }
+    } else if (t.punct("(") || t.punct("[")) {
+      const size_t m = ix.match(j);
+      if (m == kNpos) break;
+      j = m + 1;
+    } else if (t.kind == TokenKind::kIdentifier || is_member_access(t) ||
+               t.punct("::")) {
+      ++j;
+    } else {
+      break;
+    }
+  }
+  return j;
+}
+
 }  // namespace
+
+void collect_unit_arith(const FileIndex& ix, const std::string& rel_path,
+                        FileSummary& summary) {
+  if (header_path(rel_path)) {
+    for (const VarDecl& d : ix.var_decls()) {
+      const std::string unit = unit_of_type_text(d.type_text);
+      if (d.scope == ScopeKind::kClass && !unit.empty()) {
+        merge_unit(summary.unit_fields, d.name, unit);
+      }
+    }
+  }
+
+  const TokenList& code = ix.code();
+  const std::map<std::string, std::string> local = unit_names(ix);
+  auto operand = [&](size_t recv) {
+    EscapeOperand op;
+    op.receiver = code[recv].text;
+    const auto it = local.find(op.receiver);
+    if (it != local.end()) op.unit = it->second;
+    op.member = recv > 0 && is_member_access(code[recv - 1]);
+    return op;
+  };
+
+  for (size_t k = 1; k + 1 < code.size(); ++k) {
+    const Token& op = code[k];
+    const bool additive = op.punct("+") || op.punct("-");
+    if (!additive && !tighter_than_additive(op)) continue;
+    if (!code[k - 1].punct(")")) continue;  // cheap pre-filter
+    const size_t lb = operand_begin(ix, k);
+    const size_t re = operand_end(ix, k + 1);
+    // `a.value() + b.count() / n` adds seconds to a converted value: the
+    // operands of `+`/`-` end where a tighter operator takes over.
+    if (additive && ((lb > 0 && tighter_than_additive(code[lb - 1])) ||
+                     (re < code.size() && tighter_than_additive(code[re])))) {
+      continue;
+    }
+    const size_t lhs = escape_receiver(ix, lb, k);
+    if (lhs == kNpos) continue;
+    const size_t rhs = escape_receiver(ix, k + 1, re);
+    if (rhs == kNpos) continue;
+    summary.unit_arith_sites.push_back({op.line, op.text, operand(lhs),
+                                        operand(rhs),
+                                        make_excerpt(ix, lb, re)});
+  }
+}
+
+void resolve_unit_arith(const std::vector<FileSummary>& files,
+                        Findings& findings, Findings& suppressed) {
+  std::map<std::string, std::string> fields;
+  for (const FileSummary& file : files) {
+    for (const auto& [name, unit] : file.unit_fields) {
+      merge_unit(fields, name, unit);
+    }
+  }
+  auto unit_of = [&](const EscapeOperand& op) {
+    const auto it = fields.find(op.receiver);
+    const std::string field = it == fields.end() ? "" : it->second;
+    if (op.member) return field.empty() ? op.unit : field;
+    return op.unit.empty() ? field : op.unit;
+  };
+  auto spelled = [](const std::string& unit) {
+    return unit == "s" ? "seconds" : "microseconds";
+  };
+  for (const FileSummary& file : files) {
+    for (const UnitArithSite& site : file.unit_arith_sites) {
+      const std::string lhs = unit_of(site.lhs);
+      const std::string rhs = unit_of(site.rhs);
+      if (lhs.empty() || rhs.empty() || lhs == rhs) continue;
+      Finding f{"unit-arith", file.path, site.line,
+                "`" + site.op + "` mixes raw " + spelled(lhs) + " (`" +
+                    site.lhs.receiver + "`) with raw " + spelled(rhs) +
+                    " (`" + site.rhs.receiver + "`); convert explicitly "
+                    "(e.g. sim::seconds(ttl.value())) before mixing",
+                site.excerpt};
+      const auto allow = file.allow_lines.find(site.line);
+      const bool allowed = allow != file.allow_lines.end() &&
+                           allow->second.count("unit-arith") != 0;
+      (allowed ? suppressed : findings).push_back(std::move(f));
+    }
+  }
+}
 
 const std::vector<RuleInfo>& rule_infos() {
   static const std::vector<RuleInfo> kInfos = {
@@ -568,9 +899,24 @@ const std::vector<RuleInfo>& rule_infos() {
        "Duration/Ttl construction site (interprocedural)"},
       {"unit-float-cast", "unit-safety",
        "no float casts of unit-typed values outside src/stats/"},
+      {"unit-arith", "unit-safety",
+       "no `+ - * / %` between raw escapes (.count()/.value()/...) of "
+       "different units; resolves fields through headers repo-wide"},
+      {"nodiscard-validator", "hygiene",
+       "check:: validate*/check_* declarations that return a result carry "
+       "[[nodiscard]]"},
+      {"pointer-print", "determinism",
+       "no printf pointer conversion in string literals: addresses "
+       "change run to run under ASLR"},
+      {"raw-new", "hygiene",
+       "no raw new/delete; ownership goes through containers and smart "
+       "pointers (placement new allowed)"},
+      {"std-map-hot", "hygiene",
+       "no std::map/multimap in the src/cache and src/sim hot paths"},
       {"stale-suppression", "hygiene",
-       "every lint:allow/analyze:allow names a rule that still fires on "
-       "the covered line; dead allows must be deleted"},
+       "every lint:allow/analyze:allow says why and names a rule of this "
+       "analyzer that still fires on the covered line; dead or misspelled "
+       "allows must be deleted"},
   };
   return kInfos;
 }
@@ -588,6 +934,10 @@ Findings run_rules(const FileIndex& ix, const std::string& rel_path,
   rule_rng_gated_draw(ix, sink);
   rule_rng_fork_in_shard(ix, sink);
   rule_task_state_escape(ix, sink);
+  rule_pointer_print(ix, sink);
+  rule_raw_new(ix, sink);
+  rule_std_map_hot(ix, rel_path, sink);
+  rule_nodiscard_validator(ix, sink);
   return out;
 }
 

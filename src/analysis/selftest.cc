@@ -332,10 +332,58 @@ const std::vector<Case>& cases() {
        "// analyze:allow(wall-clock) leftover from an old refactor\n"
        "int f() { return 1; }\n",
        {"stale-suppression"}},
-      {"stale-suppression ignores rules owned by other tools",
+      {"stale-suppression flags an allow naming no rule of this analyzer",
        "src/core/x.cc",
-       "// lint:allow(raw-new) lint.py owns this rule\n"
-       "int f() { return 1; }\n",
+       "// lint:allow(raw-nwe) misspelled rule name\n"
+       "int* f() { return new int(1); }\n",
+       {"raw-new", "stale-suppression"}},
+      {"unit-arith fires on a seconds escape plus a microseconds escape",
+       "src/core/x.cc",
+       "std::int64_t f(dns::Ttl ttl, sim::Duration d) {\n"
+       "  return ttl.value() + d.count();\n"
+       "}\n",
+       {"unit-arith"}},
+      {"unit-arith silent on same-unit escapes and explicit conversions",
+       "src/core/x.cc",
+       "std::int64_t f(dns::Ttl ttl, sim::Duration a, sim::Duration b) {\n"
+       "  return a.count() + b.count() +\n"
+       "         sim::seconds(ttl.value()).count();\n"
+       "}\n",
+       {}},
+      {"nodiscard-validator fires on a bare check:: validator",
+       "src/check/x.h",
+       "namespace dnsttl::check {\n"
+       "bool validate_cache(const Cache& cache);\n"
+       "}\n",
+       {"nodiscard-validator"}},
+      {"nodiscard-validator silent with the attribute or a void return",
+       "src/check/x.h",
+       "namespace dnsttl::check {\n"
+       "[[nodiscard]] bool validate_cache(const Cache& cache);\n"
+       "void check_all();\n"
+       "}\n",
+       {}},
+      // The printf literal is split in two so this file's own literals
+      // hold no pointer conversion.
+      {"pointer-print fires on a printf pointer conversion", "src/core/x.cc",
+       "void f(const int* p) { std::printf(\"%" "p\\n\", p); }\n",
+       {"pointer-print"}},
+      {"pointer-print silent on an escaped percent", "src/core/x.cc",
+       "void f(int n) { std::printf(\"%d%%" "p\\n\", n); }\n",
+       {}},
+      {"raw-new fires on new and delete", "src/core/x.cc",
+       "void f() { int* p = new int(1); delete p; }\n",
+       {"raw-new"}},
+      {"raw-new silent on placement new and deleted functions",
+       "src/core/x.cc",
+       "struct S { S(const S&) = delete; };\n"
+       "void f(void* buf) { ::new (buf) int(1); }\n",
+       {}},
+      {"std-map-hot fires in src/cache", "src/cache/x.cc",
+       "int f() { std::map<int, int> index; return int(index.size()); }\n",
+       {"std-map-hot"}},
+      {"std-map-hot silent outside the hot paths", "src/core/x.cc",
+       "int f() { std::map<int, int> index; return int(index.size()); }\n",
        {}},
   };
   return kCases;

@@ -91,14 +91,36 @@ struct AllowSite {
   std::size_t comment_line = 0;
   std::string rule;
   std::vector<std::size_t> covered_lines;
+  bool justified = true;  // the comment says why after the `)`
 };
 
-/// Everything phase 2 needs from one file: the function summaries plus the
-/// suppression table (interprocedural findings honour allows the same way
+/// One operand of a unit-arith candidate: the receiver of a raw escape
+/// (`max_ttl` in `cfg.max_ttl.value()`).
+struct EscapeOperand {
+  std::string receiver;
+  std::string unit;     // "us"/"s" when this file declares the name, else ""
+  bool member = false;  // reached through `.`/`->`: try the field table first
+};
+
+/// A `+ - * / %` whose operands are both raw escapes; phase 2 resolves
+/// the units it could not see locally against the repo-wide field table.
+struct UnitArithSite {
+  std::size_t line = 0;
+  std::string op;
+  EscapeOperand lhs;
+  EscapeOperand rhs;
+  std::string excerpt;
+};
+
+/// Everything phase 2 needs from one file: the function summaries, the
+/// unit-arith candidates plus (headers only) the unit-typed class fields,
+/// and the suppression table (phase-2 findings honour allows the same way
 /// intraprocedural ones do).
 struct FileSummary {
   std::string path;
   std::vector<FunctionSummary> functions;
+  std::vector<UnitArithSite> unit_arith_sites;
+  std::map<std::string, std::string> unit_fields;  // name -> unit, "" = both
   std::map<std::size_t, std::set<std::string>> allow_lines;  // line -> rules
   std::vector<AllowSite> allow_sites;
 };

@@ -201,7 +201,7 @@ MeasurementRun MeasurementRun::execute(sim::Simulation& simulation,
       continue;
     }
     dns::Name qname = spec.per_probe_qname
-                          ? spec.qname.prepend("p" + std::to_string(probe.id))
+                          ? spec.qname.prepend(std::string("p").append(std::to_string(probe.id)))
                           : spec.qname;
     // Sharded runs draw each probe's phase from a forked per-probe stream,
     // so the schedule is a function of the probe alone, not of which other

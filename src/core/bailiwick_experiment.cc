@@ -16,7 +16,7 @@ void fill_sub_zone(dns::Zone& zone, const atlas::Platform& platform,
   const auto answer = dns::Ipv6::from_string(marker);
   for (const auto& probe : platform.probes()) {
     zone.add(dns::make_aaaa(
-        zone.origin().prepend("p" + std::to_string(probe.id)), answer_ttl,
+        zone.origin().prepend(std::string("p").append(std::to_string(probe.id))), answer_ttl,
         answer));
   }
 }

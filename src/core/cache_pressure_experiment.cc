@@ -65,7 +65,8 @@ std::vector<dns::Name> build_catalog(std::size_t names) {
   catalog.reserve(names);
   for (std::size_t i = 0; i < names; ++i) {
     catalog.push_back(
-        dns::Name::from_string("n" + std::to_string(i) + ".example"));
+        dns::Name::from_string(
+            std::string("n").append(std::to_string(i)).append(".example")));
   }
   return catalog;
 }

@@ -73,8 +73,11 @@ class DemandPool final : public sim::CohortSource {
       DNSTTL_AUDIT_CHECK("crawl::DemandPool", index < size(),
                          "fired entry references an orphaned resolver index");
       dns::Name qname = dns::Name::from_string(
-          "u" + std::to_string(counters_[index]++) + "-r" +
-          std::to_string(index) + ".nl");
+          std::string("u")
+              .append(std::to_string(counters_[index]++))
+              .append("-r")
+              .append(std::to_string(index))
+              .append(".nl"));
       resolvers_[index]->resolve(
           dns::Question{qname, dns::RRType::kA, dns::RClass::kIN}, entry.at);
       ++client_queries_;

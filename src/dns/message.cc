@@ -103,7 +103,7 @@ std::string Message::to_string() const {
   if (flags.ra) out += " ra";
   out += "\n;; QUESTION\n";
   for (const auto& q : questions) {
-    out += ";" + q.to_string() + "\n";
+    out.append(";").append(q.to_string()).append("\n");
   }
   auto dump = [&out](const char* title,
                      const std::vector<ResourceRecord>& rrs) {

@@ -17,7 +17,8 @@ int pool_alias(const atlas::VpPool& pool) {
   return last == &pool ? 1 : 0;
 }
 
-// True negatives: immutable tables, thread-local scratch, locals.
+// True negatives: immutable tables, thread-local scratch, locals, and a
+// const static alias to a type that is not a pool.
 constexpr int kShardFanout = 8;
 const std::array<int, 3> kWeights = {1, 2, 3};
 
@@ -29,6 +30,11 @@ int scratch_user() {
 int local_user() {
   int local = 0;
   return ++local;
+}
+
+char named() {
+  static const char* const kName = "core";
+  return kName[0];
 }
 
 }  // namespace dnsttl::core

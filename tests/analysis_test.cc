@@ -263,6 +263,53 @@ TEST(AnalysisInterprocedural, TaintPropagationStopsAtTheDepthCap) {
   EXPECT_EQ(findings[0].line, 11u);  // w2(1'000'000), not w1(2'000'000)
 }
 
+TEST(AnalysisUnitArith, FieldTableResolvesMembersThroughHeaders) {
+  // `cfg.max_ttl` is declared in a header, not in the file that mixes it
+  // with microseconds: only the repo-wide field table knows its unit.
+  const std::string use_tu =
+      "namespace dnsttl::core {\n"
+      "std::int64_t budget(const ResolverConfig& cfg, sim::Duration elapsed) {\n"
+      "  return cfg.max_ttl.value() + elapsed.count();\n"
+      "}\n"
+      "}  // namespace dnsttl::core\n";
+  const std::string config_h =
+      "namespace dnsttl::resolver {\n"
+      "struct ResolverConfig {\n"
+      "  dns::Ttl max_ttl = dns::kTtl1Week;\n"
+      "};\n"
+      "}  // namespace dnsttl::resolver\n";
+  // Another header declaring a field of that name in microseconds.
+  const std::string other_h =
+      "namespace dnsttl::core {\n"
+      "struct Limits {\n"
+      "  sim::Duration max_ttl;\n"
+      "};\n"
+      "}  // namespace dnsttl::core\n";
+
+  EXPECT_TRUE(
+      dnsttl::analysis::analyze_source("src/core/use.cc", use_tu).empty());
+
+  const Findings linked = dnsttl::analysis::analyze_sources(
+      {{"src/core/use.cc", use_tu}, {"src/resolver/config.h", config_h}});
+  ASSERT_EQ(linked.size(), 1u);
+  EXPECT_EQ(linked[0].rule, "unit-arith");
+  EXPECT_EQ(linked[0].file, "src/core/use.cc");
+  EXPECT_EQ(linked[0].line, 3u);
+
+  // The same field in a .cc file never enters the table.
+  EXPECT_TRUE(dnsttl::analysis::analyze_sources(
+                  {{"src/core/use.cc", use_tu},
+                   {"src/resolver/config.cc", config_h}})
+                  .empty());
+
+  // A field name declared with two units is left out of the table.
+  EXPECT_TRUE(dnsttl::analysis::analyze_sources(
+                  {{"src/core/use.cc", use_tu},
+                   {"src/resolver/config.h", config_h},
+                   {"src/core/limits.h", other_h}})
+                  .empty());
+}
+
 // ----------------------------------------------------------------------
 // Baseline and sharding plumbing.
 

@@ -118,7 +118,8 @@ TEST(MeasurementTest, PerProbeQnamesAreDistinct) {
                                   world.root_zone(), spec_p, world.rng());
   for (const auto& probe : platform.probes()) {
     zone->add(dns::make_aaaa(
-        dns::Name::from_string("p" + std::to_string(probe.id) + ".test"), dns::Ttl{60},
+        dns::Name::from_string(
+            std::string("p").append(std::to_string(probe.id)).append(".test")), dns::Ttl{60},
         dns::Ipv6::from_string("2001:db8::1")));
   }
   MeasurementSpec spec;

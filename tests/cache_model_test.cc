@@ -150,8 +150,11 @@ void run_trace(const Cache::Config& config, std::uint64_t seed,
   std::vector<dns::Name> names;
   for (int i = 0; i < 48; ++i) {
     names.push_back(dns::Name::from_string(
-        "m" + std::to_string(i) + ".model" + std::to_string(i % 5) +
-        ".example"));
+        std::string("m")
+            .append(std::to_string(i))
+            .append(".model")
+            .append(std::to_string(i % 5))
+            .append(".example")));
   }
 
   sim::Time now{};
@@ -455,8 +458,11 @@ void run_bounded_trace(const Cache::Config& config, std::uint64_t seed) {
   std::vector<dns::Name> names;
   for (int i = 0; i < 64; ++i) {
     names.push_back(dns::Name::from_string(
-        "b" + std::to_string(i) + ".bounded" + std::to_string(i % 7) +
-        ".example"));
+        std::string("b")
+            .append(std::to_string(i))
+            .append(".bounded")
+            .append(std::to_string(i % 7))
+            .append(".example")));
   }
 
   sim::Time now{};

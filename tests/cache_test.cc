@@ -412,7 +412,8 @@ TEST(CacheEvictionTest, EvictionSpansNegativeTable) {
 TEST(CacheEvictionTest, UnboundedCacheNeverEvicts) {
   Cache cache;  // max_entries = 0
   for (int i = 0; i < 500; ++i) {
-    cache.insert(make_a_set("u" + std::to_string(i) + ".org", dns::Ttl{300}),
+    cache.insert(make_a_set(std::string("u").append(std::to_string(i)).append(".org"),
+                            dns::Ttl{300}),
                  Credibility::kAuthAnswer, sim::Time{});
   }
   EXPECT_EQ(cache.size(), 500u);

@@ -131,7 +131,8 @@ TEST(ForwarderSelectionTest, RoundRobinAlternates) {
   std::vector<net::Address> addresses;
   for (int i = 0; i < 2; ++i) {
     auto r = std::make_shared<resolver::RecursiveResolver>(
-        "b" + std::to_string(i), resolver::child_centric_config(),
+        std::string("b").append(std::to_string(i)),
+        resolver::child_centric_config(),
         world.network(), world.hints());
     r->set_node_ref(net::NodeRef{world.network().attach(*r, eu), eu});
     addresses.push_back(r->node_ref().address);

@@ -200,8 +200,9 @@ TEST_P(WireFuzzTest, StructuredRandomMessagesRoundTrip) {
     m.flags.ra = rng.chance(0.5);
     m.flags.rcode = static_cast<dns::Rcode>(rng.uniform_int(0, 5));
     m.questions.push_back(
-        dns::Question{Name::from_string("q" + std::to_string(trial) +
-                                        ".fuzz.example"),
+        dns::Question{Name::from_string(std::string("q")
+                                            .append(std::to_string(trial))
+                                            .append(".fuzz.example")),
                       RRType::kA, dns::RClass::kIN});
 
     auto random_name = [&rng]() {

@@ -4,6 +4,7 @@
 // never std::invalid_argument, std::length_error, or a crash.
 #include <cstdint>
 #include <initializer_list>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,13 @@ struct MalformedCase {
   Bytes input;
 };
 
+// gtest puts each parameter's printout into the discovered test name; the
+// label keeps that name stable, where the default raw-byte dump would show
+// the label's (ASLR-random) address.
+void PrintTo(const MalformedCase& test_case, std::ostream* os) {
+  *os << test_case.label;
+}
+
 class WireAdversarialTest : public ::testing::TestWithParam<MalformedCase> {};
 
 TEST_P(WireAdversarialTest, RejectedWithWireError) {
@@ -49,11 +57,7 @@ TEST_P(WireAdversarialTest, RejectedWithWireError) {
   EXPECT_THROW(decode(test_case.input), WireError) << test_case.label;
 }
 
-// The empty message is checked on its own, outside the Malformed table:
-// gtest prints a MalformedCase as its raw bytes, the first eight of which are
-// the label's address, so a table entry's discovered ctest name carries
-// ASLR-random hex.  With the shortest label, that hex reached the part of the
-// name that tools listing tests show, and the name changed on every build.
+// The empty message, checked on its own outside the Malformed table.
 TEST(WireAdversarial, EmptyInputRejectedWithWireError) {
   EXPECT_THROW(decode(Bytes{}), WireError) << "empty input";
 }

@@ -152,8 +152,11 @@ TEST_P(WireRoundTripTest, RandomishMessagesRoundTrip) {
   int n = GetParam();
   Message m = Message::make_response(sample_query());
   for (int i = 0; i < n; ++i) {
-    Name owner = Name::from_string("h" + std::to_string(i) + ".zone" +
-                                   std::to_string(i % 3) + ".example");
+    Name owner = Name::from_string(std::string("h")
+                                       .append(std::to_string(i))
+                                       .append(".zone")
+                                       .append(std::to_string(i % 3))
+                                       .append(".example"));
     m.answers.push_back(make_a(owner, static_cast<Ttl>(60 + i * 17),
                                Ipv4(static_cast<std::uint32_t>(i * 2654435761u))));
     if (i % 2 == 0) {

@@ -1,10 +1,9 @@
-// dnsttl_analyze — self-hosted contract analyzer for the dnsttl tree.
+// dnsttl_analyze — the dnsttl tree's one static analyzer.
 //
 // Lexes + indexes C++ sources (no compiler, no libclang) and enforces the
-// repo's determinism, RNG-stream, shard-purity, and unit-safety contracts.
-// Runs on every container the build runs on, which is the whole point: the
-// AST layer (tools/analyze.py) SKIPs where clang is absent; this binary
-// never does.
+// repo's determinism, RNG-stream, shard-purity, unit-safety, and hygiene
+// contracts.  It is built by every preset and needs nothing else, so it
+// runs wherever the build runs and never SKIPs.
 //
 // Usage:
 //   dnsttl_analyze [--root DIR] [paths...]      analyze (default: src)
