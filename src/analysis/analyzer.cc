@@ -86,8 +86,7 @@ void audit_suppressions(const std::vector<FileSummary>& summaries,
       // stale-suppression)` keeps a deliberately pre-emptive allow).
       auto it = file.allow_lines.find(site.comment_line);
       if (it != file.allow_lines.end() &&
-          (it->second.count("stale-suppression") != 0 ||
-           it->second.count("*") != 0)) {
+          it->second.count("stale-suppression") != 0) {
         continue;
       }
       out.push_back(

@@ -18,7 +18,7 @@ bool allow_covers(const FileSummary& file, std::size_t line,
                   const std::string& rule) {
   auto it = file.allow_lines.find(line);
   if (it == file.allow_lines.end()) return false;
-  return it->second.count(rule) != 0 || it->second.count("*") != 0;
+  return it->second.count(rule) != 0;
 }
 
 class Dataflow {

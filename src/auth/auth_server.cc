@@ -23,20 +23,39 @@ std::size_t QueryLog::unique_clients() const {
   return clients.size();
 }
 
-const dns::Zone* AuthServer::best_zone(const dns::Name& qname) const {
-  const dns::Zone* best = nullptr;
-  std::size_t best_depth = 0;
-  for (const auto& zone : zones_) {
-    if (!qname.is_subdomain_of(zone->origin())) {
-      continue;
-    }
-    std::size_t depth = zone->origin().label_count() + 1;  // +1: root matches
-    if (best == nullptr || depth > best_depth) {
-      best = zone.get();
-      best_depth = depth;
+bool AuthServer::remove_zone(const std::shared_ptr<dns::Zone>& zone) {
+  auto it = std::find(zones_.begin(), zones_.end(), zone);
+  if (it == zones_.end()) {
+    return false;
+  }
+  // Hold the zone: @p zone may alias the element being erased.
+  std::shared_ptr<dns::Zone> removed = std::move(*it);
+  zones_.erase(it);
+  const dns::Name& origin = removed->origin();
+  auto entry = by_origin_.find(origin);
+  if (entry->second == removed.get()) {
+    auto next = std::find_if(zones_.begin(), zones_.end(), [&](const auto& z) {
+      return z->origin() == origin;
+    });
+    if (next == zones_.end()) {
+      by_origin_.erase(entry);
+    } else {
+      entry->second = next->get();
     }
   }
-  return best;
+  return true;
+}
+
+const dns::Zone* AuthServer::best_zone(const dns::Name& qname) const {
+  if (auto it = by_origin_.find(qname); it != by_origin_.end()) {
+    return it->second;
+  }
+  for (std::size_t k = qname.label_count(); k-- > 0;) {
+    if (auto it = by_origin_.find(qname.suffix(k)); it != by_origin_.end()) {
+      return it->second;
+    }
+  }
+  return nullptr;
 }
 
 std::optional<net::ServerReply> AuthServer::handle_query(

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "auth/query_log.h"
@@ -25,21 +26,20 @@ class AuthServer : public net::DnsNode {
   /// used by experiment reports.
   explicit AuthServer(std::string ident) : ident_(std::move(ident)) {}
 
+  /// Starts serving @p zone.  A query is answered from the attached zone
+  /// whose origin is the deepest ancestor of its qname; among zones attached
+  /// with the same origin, the one earliest in zones() answers.
   void add_zone(std::shared_ptr<dns::Zone> zone) {
+    by_origin_.try_emplace(zone->origin(), zone.get());
     zones_.push_back(std::move(zone));
   }
 
   /// Stops serving a zone (e.g. a secondary whose copy expired); returns
-  /// false if the zone was not attached.
-  bool remove_zone(const std::shared_ptr<dns::Zone>& zone) {
-    for (auto it = zones_.begin(); it != zones_.end(); ++it) {
-      if (*it == zone) {
-        zones_.erase(it);
-        return true;
-      }
-    }
-    return false;
-  }
+  /// false if the zone was not attached.  Queries for its origin fall to
+  /// the next remaining zone with that origin, else to a shallower one.
+  bool remove_zone(const std::shared_ptr<dns::Zone>& zone);
+
+  /// Attached zones in attachment order.
   const std::vector<std::shared_ptr<dns::Zone>>& zones() const noexcept {
     return zones_;
   }
@@ -72,11 +72,15 @@ class AuthServer : public net::DnsNode {
                                                sim::Time now) override;
 
  private:
-  /// The attached zone whose origin is the deepest ancestor of @p qname.
+  /// The attached zone whose origin is the deepest ancestor of @p qname:
+  /// probes by_origin_ with qname and each of its suffixes, deepest first,
+  /// so the cost is O(labels) hash lookups however many zones are served.
   const dns::Zone* best_zone(const dns::Name& qname) const;
 
   std::string ident_;
-  std::vector<std::shared_ptr<dns::Zone>> zones_;
+  std::vector<std::shared_ptr<dns::Zone>> zones_;  ///< owner, attach order
+  /// Origin -> the earliest zone in zones_ with that origin.
+  std::unordered_map<dns::Name, const dns::Zone*> by_origin_;
   bool online_ = true;
   bool logging_ = false;
   QueryLog log_;

@@ -2,8 +2,8 @@
 // Suppression hygiene: an allow comment whose rule no longer fires on the
 // covered line is itself flagged, a suppression that still earns its keep
 // is not, and an allow naming no rule of this analyzer (a typo, or a rule
-// that no longer exists) is flagged too, and so is an allow that does not
-// say why.  An allow that also names stale-suppression keeps a
+// that no longer exists, or `*`, which is no wildcard) is flagged too, and
+// so is an allow that does not say why.  An allow that also names stale-suppression keeps a
 // deliberately pre-emptive allow quiet.
 
 namespace dnsttl::core {
@@ -22,6 +22,9 @@ inline int* leak() { return new int(7); }
 
 // lint:allow(raw-nwe) misspelled, so it silences nothing  // expect: stale-suppression
 inline int* typo() { return new int(8); }  // expect: raw-new
+
+// lint:allow(*) no wildcard exists, so this names no rule  // expect: stale-suppression
+inline int* wildcard() { return new int(10); }  // expect: raw-new
 
 // analyze:allow(raw-new, stale-suppression) kept for a planned arena
 inline int planned() { return 1; }

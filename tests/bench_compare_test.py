@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """tools/bench_compare.py refuses to compare reports taken at different
---jobs, and --run-and-compare runs the binary at the baseline's --jobs.
+--jobs, --scale or --seed, and --run-and-compare runs the binary at the
+baseline's --jobs.
 
 Sharded binaries build one World replica per shard, so peak RSS and
 throughput scale with --jobs; a gate that let the host's core count pick
 --jobs failed on memory on multi-core hosts and would hide a throughput
-regression.  Runs no benchmark: the reports are fixtures under
-tests/bench_compare/ that differ only in `jobs`, and the "binary" is
+regression.  A --quick run against a full-scale baseline measures a tenth
+of the population and passes on figures it never matched.  Runs no
+benchmark: the reports are fixtures under tests/bench_compare/, each pair
+differing only in `jobs`, `scale` or `seed`, and the "binary" is
 tests/bench_compare/fake_bench.py.
 
 Run: python3 tests/bench_compare_test.py
@@ -24,6 +27,8 @@ FIXTURES = os.path.join(HERE, "bench_compare")
 COMPARE = os.path.join(HERE, os.pardir, "tools", "bench_compare.py")
 JOBS1 = os.path.join(FIXTURES, "report_jobs1.json")
 JOBS4 = os.path.join(FIXTURES, "report_jobs4.json")
+SCALE1 = os.path.join(FIXTURES, "report_scale1.json")
+SEED2 = os.path.join(FIXTURES, "report_seed2.json")
 FAKE_BENCH = os.path.join(FIXTURES, "fake_bench.py")
 
 
@@ -59,6 +64,35 @@ class JobsGateTest(unittest.TestCase):
             result = run_compare(JOBS1, no_jobs)
         self.assertEqual(result.returncode, 2, result.stdout)
         self.assertIn("current jobs=missing", result.stdout)
+
+    def test_mismatched_scale_is_refused(self):
+        for baseline, current in ((SCALE1, JOBS1), (JOBS1, SCALE1)):
+            result = run_compare(baseline, current)
+            self.assertEqual(result.returncode, 2, result.stdout)
+            self.assertIn("scale mismatch", result.stdout)
+        self.assertIn("baseline scale=1, current scale=0.1",
+                      run_compare(SCALE1, JOBS1).stdout)
+
+    def test_mismatched_seed_is_refused(self):
+        for baseline, current in ((SEED2, JOBS1), (JOBS1, SEED2)):
+            result = run_compare(baseline, current)
+            self.assertEqual(result.returncode, 2, result.stdout)
+            self.assertIn("seed mismatch", result.stdout)
+        self.assertIn("baseline seed=1, current seed=2",
+                      run_compare(JOBS1, SEED2).stdout)
+
+    def test_equal_scale_and_seed_compare(self):
+        for report in (SCALE1, SEED2):
+            result = run_compare(report, report)
+            self.assertEqual(result.returncode, 0, result.stdout)
+            self.assertNotIn("mismatch", result.stdout)
+
+    def test_run_and_compare_refuses_other_scale(self):
+        # fake_bench reports scale 0.1 whatever its flags, like a --quick
+        # run held against a full-scale baseline.
+        result = run_compare("--run-and-compare", FAKE_BENCH, SCALE1)
+        self.assertEqual(result.returncode, 2, result.stdout)
+        self.assertIn("scale mismatch", result.stdout)
 
     def test_run_and_compare_pins_baseline_jobs(self):
         # DNSTTL_JOBS=3 matches neither fixture, so only the pinned

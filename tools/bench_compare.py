@@ -20,11 +20,13 @@ current value may not exceed the baseline by more than --rss-tolerance
 missing the key — e.g. a baseline produced before the field existed —
 skips the gate instead of failing.
 
-Both reports must carry the same top-level `jobs` (a key missing from
-one report only counts as a different value).  Sharded binaries build one World
-replica per shard, so peak RSS and throughput grow with --jobs even
-though the output bytes do not; a mismatched pair is refused with exit 2
-rather than compared.
+Both reports must carry the same top-level `jobs`, `scale` and `seed`
+(a key missing from one report only counts as a different value); a
+mismatched pair is refused with exit 2 rather than compared.  Sharded
+binaries build one World replica per shard, so peak RSS and throughput
+grow with --jobs even though the output bytes do not; `scale` sets the
+population, so a --quick run against a full-scale baseline measures a
+tenth of the work; `seed` picks the workload drawn.
 
 --run-and-compare spawns BINARY with `--quick --jobs J --json <tmp>`
 first, where J is BASELINE.json's `jobs`, then compares the fresh report
@@ -38,7 +40,7 @@ population); the baseline's `--jobs` is appended after it for the same
 reason, whatever the host's core count or DNSTTL_JOBS.
 
 Exit codes: 0 ok, 1 regression/missing metric, 2 usage or I/O error
-or a `jobs` mismatch.
+or a `jobs`, `scale` or `seed` mismatch.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ import shlex
 import subprocess
 import sys
 import tempfile
+
+# Top-level report keys that must agree before two reports are comparable.
+RUN_KEYS = ("jobs", "scale", "seed")
 
 
 def load_report(path: str) -> dict:
@@ -88,11 +93,12 @@ def compare_rss(baseline: dict, current: dict, rss_tolerance: float) -> int:
 
 def compare(baseline: dict, current: dict, tolerance: float,
             rss_tolerance: float = 0.25) -> int:
-    if baseline.get("jobs") != current.get("jobs"):
-        print(f"bench_compare: jobs mismatch: baseline jobs="
-              f"{baseline.get('jobs', 'missing')}, current jobs="
-              f"{current.get('jobs', 'missing')}; refusing to compare")
-        return 2
+    for key in RUN_KEYS:
+        if baseline.get(key) != current.get(key):
+            print(f"bench_compare: {key} mismatch: baseline {key}="
+                  f"{baseline.get(key, 'missing')}, current {key}="
+                  f"{current.get(key, 'missing')}; refusing to compare")
+            return 2
     base = metric_map(baseline)
     cur = metric_map(current)
     failures = 0
